@@ -55,6 +55,7 @@ from repro.arith.formula import (
     conj,
     disj,
     neg,
+    sat_cubes,
     to_dnf,
 )
 from repro.arith.lru import LRUCache
@@ -282,21 +283,17 @@ class SolverContext:
     def _raw_sat(self, p: Formula) -> bool:
         sat = self.backend.cube_is_sat
         if not self.assumptions():
-            return any(sat(cube) for cube in to_dnf(p))
+            return any(sat(cube) for cube in sat_cubes(p, sat))
         try:
             acubes = self._assumption_cubes()
         except MemoryError:
             # Product blow-up: degrade to one monolithic conjunction.
             g = conj(self._assumption_formula(), p)
-            return any(sat(cube) for cube in to_dnf(g))
-        pcubes = to_dnf(p)
-        for ac in acubes:
-            if ac and not sat(ac):
-                continue
-            for pc in pcubes:
-                if sat(list(ac) + pc):
-                    return True
-        return False
+            return any(sat(cube) for cube in sat_cubes(g, sat))
+        # *p*'s cubes extend each satisfiable assumption cube, so a branch
+        # of *p* that contradicts the assumptions dies at its first split.
+        live = (ac for ac in acubes if not ac or sat(ac))
+        return any(sat(cube) for cube in sat_cubes(p, sat, prefixes=live))
 
     def is_unsat(self, p: Formula) -> bool:
         return not self.is_sat(p)
@@ -353,9 +350,8 @@ class SolverContext:
                 goal = conj(
                     antecedent, neg(self._eliminate_quantifiers(consequent))
                 )
-                result = not any(
-                    self.backend.cube_is_sat(cube) for cube in to_dnf(goal)
-                )
+                sat = self.backend.cube_is_sat
+                result = not any(sat(cube) for cube in sat_cubes(goal, sat))
         except MemoryError:
             return False
         self._entail.put(key, result)
@@ -452,10 +448,10 @@ class SolverContext:
         if len(cubes) > 12:
             # Large disjunctions: quadratic pruning/subsumption would
             # dominate the analysis; keep the cheap unsat-cube filter.
-            sat_cubes = [c for c in cubes if self.backend.cube_is_sat(c)]
-            if not sat_cubes:
+            live = [c for c in cubes if self.backend.cube_is_sat(c)]
+            if not live:
                 return FALSE
-            return disj(*(conj(*c) for c in sat_cubes))
+            return disj(*(conj(*c) for c in live))
         kept_cubes: List[List[Atom]] = []
         for cube in cubes:
             if not self.backend.cube_is_sat(cube):

@@ -32,7 +32,18 @@ import contextvars
 import enum
 import itertools
 import weakref
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.arith.lru import LRUCache
 from repro.arith.terms import Coeff, LinExpr, to_linexpr
@@ -757,3 +768,99 @@ def _dnf(p: Formula, limit: int) -> List[List[Atom]]:
         fresh = {b: _fresh_name(b, p) for b in p.bound}
         return _dnf(to_nnf(p.body.rename(fresh)), limit)
     raise TypeError(f"cannot convert {type(p).__name__} to DNF (NNF expected)")
+
+
+def sat_cubes(
+    p: Formula,
+    is_sat: Callable[[Sequence[Atom]], bool],
+    limit: int = 50_000,
+    prefixes: Sequence[Sequence[Atom]] = ((),),
+) -> Iterator[List[Atom]]:
+    """The cubes of ``to_dnf(p)`` that a depth-first walk cannot rule out.
+
+    Yields ``[*prefix, *cube]`` for each prefix of *prefixes* and each
+    cube of ``to_dnf(p)``, in exactly that order, except that before every
+    split on a disjunction the partial cube built so far is passed to
+    *is_sat*: when it is unsatisfiable, every cube extending it is
+    skipped unbuilt.  Complete cubes are yielded unchecked.  The output
+    is therefore a subsequence of the eager expansion containing every
+    satisfiable cube -- the same answer for any "is some cube sat" or
+    "keep the sat cubes" query, at a fraction of the cost when most
+    cubes die on a short prefix.
+
+    The blow-up rule is the eager one: the unpruned cube count is
+    computed first with :func:`_dnf`'s arithmetic, and
+    :class:`MemoryError` is raised -- at call time, before anything is
+    yielded -- on exactly the inputs :func:`to_dnf` raises on.
+    Quantified formulas are expanded eagerly by :func:`to_dnf`, so their
+    fresh names are the ones an eager caller would see.
+    """
+    if _contains_exists(p):
+        cubes = to_dnf(p, limit)
+        return ([*pre, *c] for pre in prefixes for c in cubes)
+    nnf = to_nnf(p)
+    _dnf_count(nnf, limit)
+    return (
+        c for pre in prefixes for c in _pruned_cubes(nnf, is_sat, list(pre))
+    )
+
+
+def _dnf_count(p: Formula, limit: int) -> int:
+    """Number of cubes :func:`_dnf` returns for the NNF formula *p*,
+    raising :class:`MemoryError` at the same step it would."""
+    if isinstance(p, BoolConst):
+        return 1 if p.value else 0
+    if isinstance(p, Atom):
+        return 1
+    if isinstance(p, Or):
+        n = 0
+        for a in p.args:
+            n += _dnf_count(a, limit)
+            if n > limit:
+                raise MemoryError("DNF explosion beyond configured limit")
+        return n
+    if isinstance(p, And):
+        n = 1
+        for a in p.args:
+            n *= _dnf_count(a, limit)
+            if n > limit:
+                raise MemoryError("DNF explosion beyond configured limit")
+        return n
+    raise TypeError(f"cannot convert {type(p).__name__} to DNF (NNF expected)")
+
+
+def _pruned_cubes(
+    p: Formula, is_sat: Callable[[Sequence[Atom]], bool], prefix: List[Atom]
+) -> Iterator[List[Atom]]:
+    """Depth-first expansion of the quantifier-free NNF formula *p* after
+    *prefix* (see :func:`sat_cubes`).
+
+    A stack entry is ``(atoms, pending, checked)``: the partial cube, the
+    conjuncts still to expand as a linked list ``(head, tail)`` in
+    :func:`_dnf`'s order, and the length of the longest prefix of
+    *atoms* already known satisfiable.  Alternatives are pushed last
+    first, so the first one is expanded next and the output order is the
+    product order of :func:`_dnf`."""
+    stack = [(prefix, (p, None), 0)]
+    while stack:
+        atoms, pending, checked = stack.pop()
+        while pending is not None:
+            f, pending = pending
+            if isinstance(f, Atom):
+                atoms.append(f)
+            elif isinstance(f, And):
+                for a in reversed(f.args):
+                    pending = (a, pending)
+            elif isinstance(f, Or):
+                if len(atoms) > checked:
+                    if not is_sat(atoms):
+                        break
+                    checked = len(atoms)
+                for a in f.args[:0:-1]:
+                    stack.append((list(atoms), (a, pending), checked))
+                stack.append((atoms, (f.args[0], pending), checked))
+                break
+            elif not f.value:
+                break
+        else:
+            yield atoms

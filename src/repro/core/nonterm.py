@@ -39,6 +39,7 @@ from repro.arith.formula import (
     conj,
     disj,
     neg,
+    sat_cubes,
 )
 from repro.arith.context import SolverContext, resolve
 from repro.arith.solver import dnf_disjuncts
@@ -195,7 +196,10 @@ def _template_abduction(
     """Farkas abduction with template ``a0 + sum a_i v_i >= 0`` over
     *subset*, the template's own multiplier normalised to 1."""
     ctx = resolve(ctx)
-    ctx_cubes = [c for c in dnf_disjuncts(context) if ctx.is_sat(conj(*c))]
+    ctx_cubes = [
+        c for c in sat_cubes(context, ctx.backend.cube_is_sat)
+        if ctx.is_sat(conj(*c))
+    ]
     beta_cubes = dnf_disjuncts(beta)
     if not ctx_cubes or len(beta_cubes) != 1:
         return None

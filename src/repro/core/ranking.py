@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arith.context import SolverContext, resolve
 from repro.arith.farkas import LPProblem, add_implication, instantiate, template
-from repro.arith.formula import Atom, Formula, atom_ge, atom_le, conj
-from repro.arith.solver import dnf_disjuncts
+from repro.arith.formula import Atom, Formula, atom_ge, atom_le, conj, sat_cubes
 from repro.arith.terms import LinExpr, var
 from repro.core.reachgraph import Edge
 
@@ -34,9 +33,11 @@ MAX_LEX_DEPTH = 4
 
 
 def _edge_cubes(edge: Edge, ctx: Optional[SolverContext] = None) -> List[List[Atom]]:
-    """Satisfiable DNF cubes of an edge context."""
+    """Satisfiable DNF cubes of an edge context.  Raises
+    :class:`MemoryError` when the context's DNF blows up."""
     ctx = resolve(ctx)
-    return [c for c in dnf_disjuncts(edge.ctx) if ctx.is_sat(conj(*c))]
+    cubes = sat_cubes(edge.ctx, ctx.backend.cube_is_sat)
+    return [c for c in cubes if ctx.is_sat(conj(*c))]
 
 
 def _rank_at(template_coeffs: Dict[str, LinExpr], args: Sequence[str],
@@ -167,7 +168,13 @@ class RankSynthesizer:
             dst_formals = [dst_full[i] for i in keep_idx[edge.dst]]
             src_args = [edge.src_args[i] for i in keep_idx[edge.src]]
             dst_args = [edge.dst_args[i] for i in keep_idx[edge.dst]]
-            for cube in _edge_cubes(edge, self.ctx):
+            try:
+                cubes = _edge_cubes(edge, self.ctx)
+            except MemoryError:
+                # No cube list stands in for a blown-up context: an empty
+                # one would make the edge vacuous and "prove" termination.
+                return None
+            for cube in cubes:
                 xs = sorted(
                     set(edge.src_args)
                     | set(edge.dst_args)

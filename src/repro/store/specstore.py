@@ -52,6 +52,7 @@ import hashlib
 import os
 import pickle
 import struct
+import threading
 import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -163,7 +164,9 @@ class SpecStore:
         )
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{key}.{os.getpid()}.tmp"
+        # Unique per writing thread, not just per process: two daemon
+        # workers saving one key must not share (and steal) a tmp file.
+        tmp = path.parent / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
             tmp.write_bytes(blob)
             os.replace(tmp, path)
@@ -181,7 +184,7 @@ class SpecStore:
     # -- maintenance ---------------------------------------------------------
 
     def _sweep_stale_tmp(self) -> None:
-        """Delete orphaned ``.{key}.{pid}.tmp`` files at store open.
+        """Delete orphaned ``.{key}.{pid}.{thread}.tmp`` files at store open.
 
         The write path cleans its tmp file even on exceptions, so orphans
         only arise from hard crashes (SIGKILL, power loss) between
@@ -196,8 +199,10 @@ class SpecStore:
         now = time.time()
         for tmp in (self.root / "objects").glob("*/.*.tmp"):
             try:
+                # ".{key}.{pid}[.{thread}].tmp": the pid follows the key
+                # (tmp files of older writers carry no thread id).
                 parts = tmp.name.split(".")
-                pid = int(parts[-2]) if len(parts) >= 3 else None
+                pid = int(parts[2]) if len(parts) >= 4 else None
             except ValueError:
                 pid = None
             stale = False

@@ -11,6 +11,10 @@ test.  Artifact schema (all program-level fields optional):
   oracle, round-tripped through the parser, and run through the bench
   harness, which must stay *sound* (a crash degrades to UNKNOWN, never
   to a wrong definite answer).
+
+Both the reproducer and the regenerated instance are also analyzed by
+``infer_program`` directly, outside the harness: the analyzer itself must
+answer, soundly, rather than raise.
 """
 
 import json
@@ -18,12 +22,15 @@ import pathlib
 
 import pytest
 
+from repro.arith.solver import clear_caches
 from repro.bench.runner import HipTNTPlus, run_tool
+from repro.core.pipeline import infer_program
 from repro.corpus.benchmark import (
     CorpusInstance,
     Label,
     label_to_verdict,
     parse_label,
+    verdict_to_label,
 )
 from repro.corpus.generate import generate_instance
 from repro.corpus.run import crosscheck_instance
@@ -89,4 +96,40 @@ def test_minimized_reproducer(path):
     if "expect_verdict" in artifact:
         assert outcome.verdict is label_to_verdict(
             parse_label(artifact["expect_verdict"])
+        )
+
+
+def _direct_verdict(program, entry):
+    """``infer_program`` outside the bench harness: an exception escaping
+    the analyzer fails the test instead of reading as UNKNOWN."""
+    clear_caches()
+    result = infer_program(
+        program, max_iter=8, time_budget=5.0, isolate_names=True
+    )
+    return result.verdict(entry)
+
+
+def _contradicts(verdict, label):
+    answered = verdict_to_label(verdict)
+    return Label.UNKNOWN not in (answered, label) and answered is not label
+
+
+@pytest.mark.parametrize(
+    "path", ARTIFACTS, ids=[p.stem for p in ARTIFACTS]
+)
+def test_analyzer_answers_directly(path):
+    artifact = _load(path)
+    if "program" in artifact:
+        label = parse_label(artifact["label"])
+        verdict = _direct_verdict(
+            parse_program(artifact["program"]), artifact["entry"]
+        )
+        assert not _contradicts(verdict, label), (
+            f"{path.stem}: unsound verdict {verdict} against {label}"
+        )
+    if "seed" in artifact:
+        inst = generate_instance(artifact["seed"], artifact["index"])
+        verdict = _direct_verdict(inst.program(), inst.entry)
+        assert not _contradicts(verdict, inst.label), (
+            f"{inst.id}: unsound verdict {verdict} against {inst.label}"
         )

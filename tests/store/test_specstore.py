@@ -225,3 +225,59 @@ class TestTmpCleanup:
         assert self._tmp_files(store) == []
         loaded, rejected = store.load(self.KEY)
         assert loaded is not None and not rejected
+
+
+class TestConcurrentSave:
+    """Threads of one process saving the same key each write their own
+    tmp file; none of them loses its rename to another's."""
+
+    KEY = "cd" * 32
+
+    def test_threads_saving_one_key(self, store):
+        import sys
+        import threading
+
+        specs = _cold_specs()
+        errors = []
+        barrier = threading.Barrier(8)
+
+        def writer():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(20):
+                    store.save(self.KEY, specs)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        loaded, rejected = store.load(self.KEY)
+        assert loaded is not None and not rejected
+        assert set(loaded) == set(specs)
+        assert list((store.root / "objects").glob("*/.*.tmp")) == []
+
+    def test_open_sweeps_dead_pid_thread_orphans(self, store):
+        """Tmp files name the writing thread after the pid; the sweep
+        still reads the pid and removes a dead writer's dropping."""
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        orphan_dir = store.root / "objects" / self.KEY[:2]
+        orphan_dir.mkdir(parents=True, exist_ok=True)
+        orphan = orphan_dir / f".{self.KEY}.{proc.pid}.140001.tmp"
+        orphan.write_bytes(b"half-written crash dropping")
+
+        reopened = SpecStore(store.root)
+        assert list((reopened.root / "objects").glob("*/.*.tmp")) == []
